@@ -4,7 +4,7 @@ Every benchmark regenerates one table or figure of the paper at a reduced,
 laptop-friendly scale (tens of clients, tens of rounds instead of thousands
 of clients and hundreds of rounds).  The *shape* of each result — who wins,
 roughly by how much, and in which direction trends move — is asserted; the
-absolute numbers are recorded in EXPERIMENTS.md next to the paper's values.
+absolute numbers are printed as a table when the benchmark runs (``pytest -s``).
 """
 
 from __future__ import annotations

@@ -17,6 +17,12 @@ Regressions above the threshold (default 25%) print a ``WARNING`` but never
 fail the run — medians from shared CI runners are too noisy to gate on; the
 warning is the prompt for a human (or the next PR) to look.
 
+Every record carries a ``fingerprint`` of the numeric environment from
+:func:`repro.nn.blas.fingerprint` — Python and numpy versions, the BLAS
+build, the ambient BLAS thread count and whether client training runs
+single-threaded — read in this process, which inherits the benchmark run's
+environment.
+
 ``param_dim`` is taken from each benchmark's ``extra_info`` when the suite
 records one (the perf benches tag themselves); benches without a parameter
 dimension record ``null``.  Medians are in seconds, as reported by
@@ -57,6 +63,16 @@ def distill(raw: dict) -> list[dict]:
             record["phases"] = extra["phases"]
         records.append(record)
     return sorted(records, key=lambda r: r["op"])
+
+
+def environment_fingerprint() -> dict:
+    """:func:`repro.nn.blas.fingerprint`, importable without ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.nn.blas import fingerprint
+
+    return fingerprint()
 
 
 def latest_committed_record(root: Path) -> tuple[int, dict] | None:
@@ -204,6 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         "pr": args.pr,
         "cpu_count": cpu.get("count") if isinstance(cpu, dict) else None,
         "machine": machine_info.get("machine"),
+        "fingerprint": environment_fingerprint(),
         "records": records,
     }
     out = args.out or Path(f"BENCH_{args.pr}.json")

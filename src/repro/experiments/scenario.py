@@ -68,8 +68,8 @@ class Scenario:
     """Everything needed to run one federated-training experiment.
 
     Defaults are sized for laptop-scale smoke runs; the benchmark harness
-    scales ``num_clients`` / ``rounds`` up and the paper-scale parameters
-    are recorded in ``EXPERIMENTS.md``.
+    under ``benchmarks/`` scales ``num_clients`` / ``rounds`` up (its
+    ``conftest.py`` fixtures hold the reduced-scale paper settings).
     """
 
     # Identity (optional, used by suites/CLI output)

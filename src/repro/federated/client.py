@@ -14,6 +14,11 @@ internal RNG state (``Dropout``) additionally draws from that layer's own
 generator, whose consumption order depends on the execution backend — such
 models are only run-to-run deterministic on the serial backend.  Every model
 built by the experiment runner is dropout-free by default.
+
+Both training routines run on one BLAS thread
+(:func:`repro.nn.blas.single_threaded`), so a client's update bytes do not
+depend on the host's BLAS thread count, and processes training side by side
+do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.nn.blas import single_threaded
 from repro.nn.losses import BatchedSoftmaxCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.optim import SGD, BatchedSGD
 from repro.nn.serialization import flatten_params, unflatten_params
@@ -55,6 +61,7 @@ class LocalTrainingConfig:
             raise ValueError("proximal_mu must be non-negative")
 
 
+@single_threaded()
 def local_train(
     model,
     global_params: np.ndarray,
@@ -145,6 +152,7 @@ def _plan_step_runs(
     return runs_per_step
 
 
+@single_threaded()
 def local_train_batched(
     model,
     global_params: np.ndarray,

@@ -35,6 +35,7 @@ import selectors
 import socket
 import subprocess
 import sys
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -481,12 +482,15 @@ class DistributedBackend(ExecutionBackend):
 
         The worker's ``train_s`` becomes a ``client_train`` span ending at
         the frame's receipt (``wire=True`` marks the reconstruction); its
-        ``mono`` send timestamp yields the per-link clock-offset estimate
-        (driver minus worker clock, minimum over frames — an annotation for
-        reading cross-host traces, never a correction).  Queue-depth
-        histograms are observed per receipt whether or not the worker sent a
-        blob, so driver-side congestion is visible even against v4 workers
-        with profiling declined.
+        ``mono`` send timestamp is a raw ``time.monotonic()`` reading, so it
+        is compared with the driver's raw ``time.monotonic()`` at receipt,
+        not with the tracer's epoch-relative clock.  The difference, minimum
+        over frames, is the per-link clock-offset estimate (driver minus
+        worker clock).  On one host it is about the transport latency.  It
+        annotates cross-host traces and is never applied as a correction.
+        Queue-depth histograms are observed per receipt whether or not the
+        worker sent a blob, so driver-side congestion is visible even
+        against v4 workers with profiling declined.
         """
         tel = self.ctx.telemetry
         if tel is None:
@@ -507,7 +511,9 @@ class DistributedBackend(ExecutionBackend):
             tel.tracer.add_span("client_train", now - train_s, now, **attrs)
             mono = blob.get("mono")
             if mono is not None:
-                tel.record_clock_offset(f"worker:{link.pid}", now - float(mono))
+                tel.record_clock_offset(
+                    f"worker:{link.pid}", time.monotonic() - float(mono)
+                )
         metrics = tel.metrics
         metrics.histogram("distributed.pending_depth").observe(len(pending))
         metrics.histogram("distributed.worker_outstanding").observe(

@@ -21,9 +21,9 @@ class RunTelemetry:
     coordinator — reaches the same bundle without new plumbing per layer.
 
     ``clock_offsets`` maps a link label (``worker:<pid>``) to the estimated
-    offset between the driver tracer's clock and that worker's
-    ``time.monotonic()``: each UPDATE frame's telemetry blob carries the
-    worker's send timestamp, and the minimum of ``driver_now - worker_sent``
+    offset between the driver's and that worker's ``time.monotonic()``
+    (raw readings on both sides): each UPDATE frame's telemetry blob carries
+    the worker's send timestamp, and the minimum of ``driver_now - worker_sent``
     over a link's frames approximates the fixed offset (the residual above
     the minimum is transport latency).  Offsets are *annotation*, not
     correction — merged worker spans sit on the driver clock at arrival.

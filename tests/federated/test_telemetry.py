@@ -148,6 +148,13 @@ class TestDistributedWireTelemetry:
         }
         assert {f"worker:{pid}" for pid in workers} == set(offsets)
 
+    def test_same_host_clock_offsets_are_near_zero(self, distributed_result):
+        # Local workers share the driver's monotonic clock, so the offset is
+        # only transport latency — not the driver tracer's epoch.
+        offsets = distributed_result.telemetry["clock_offsets"]
+        assert offsets
+        assert all(abs(offset) < 1.0 for offset in offsets.values()), offsets
+
     def test_coordinator_queue_metrics_are_observed(self, distributed_result):
         metrics = distributed_result.telemetry["metrics"]
         assert metrics["distributed.pending_depth"]["count"] >= 16

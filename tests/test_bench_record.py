@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import platform
+
+import numpy as np
 
 from benchmarks.record import distill, main
+from repro.nn import blas
 
 
 def _raw_report():
@@ -58,6 +62,25 @@ class TestMain:
         assert payload["machine"] == "x86_64"
         assert [r["op"] for r in payload["records"]] == ["test_alpha", "test_zeta"]
         assert "Wrote" in capsys.readouterr().out
+
+    def test_record_carries_the_blas_fingerprint(self, tmp_path):
+        report = tmp_path / "raw.json"
+        report.write_text(json.dumps(_raw_report()))
+        out = tmp_path / "BENCH_7.json"
+        assert main([str(report), "--pr", "7", "--out", str(out)]) == 0
+        fingerprint = json.loads(out.read_text())["fingerprint"]
+        assert fingerprint == blas.fingerprint()
+        assert fingerprint["python"] == platform.python_version()
+        assert fingerprint["numpy"] == np.__version__
+        assert set(fingerprint) == {
+            "python", "numpy", "blas_config", "blas_threads",
+            "training_single_threaded",
+        }
+        if fingerprint["training_single_threaded"]:
+            assert fingerprint["blas_config"].startswith("OpenBLAS")
+            assert fingerprint["blas_threads"] >= 1
+        else:
+            assert fingerprint["blas_threads"] is None
 
     def test_default_output_name_carries_pr(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
