@@ -21,7 +21,11 @@ Running a suite adds three things over a hand-rolled loop:
   points every cell at a parallel client-execution backend, and
   ``cell_workers`` additionally runs whole cells concurrently on threads
   (each cell keeps its own RNG streams, so per-cell results are unchanged;
-  the returned list is always in grid order).
+  the returned list is always in grid order).  The whole run, sequential or
+  not, stays on one BLAS thread (:data:`repro.nn.blas.single_threaded`):
+  the thread count is process-wide, so one cell's training would otherwise
+  change the thread count under another cell's server work.  A cell's
+  result therefore equals ``scenario.run()`` called inside that scope.
 * **JSON round-trip** — a suite serialises to ``{"base": ..., "grid": ...}``
   (or explicit ``"cells"``) and back, so sweeps are runnable from the CLI
   (``python -m repro sweep suite.json``) without writing Python.
@@ -38,6 +42,7 @@ from pathlib import Path
 
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scenario import Scenario
+from repro.nn.blas import single_threaded
 from repro.registry import reject_unknown_keys
 
 
@@ -106,6 +111,7 @@ class Suite:
 
     # -- execution ---------------------------------------------------------
 
+    @single_threaded
     def run(
         self,
         backend: str | None = None,
@@ -119,7 +125,8 @@ class Suite:
         ``backend``/``backend_workers`` override the client-execution
         backend of every cell; ``hooks_factory`` builds per-cell round hooks
         (returned on the :class:`CellResult` for collection);
-        ``cell_workers > 1`` runs cells concurrently on threads.
+        ``cell_workers > 1`` runs cells concurrently on threads.  The run
+        stays on one BLAS thread throughout (see the module docstring).
         """
         from repro.experiments.runner import build_dataset, run_experiment
 

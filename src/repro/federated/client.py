@@ -16,7 +16,7 @@ models are only run-to-run deterministic on the serial backend.  Every model
 built by the experiment runner is dropout-free by default.
 
 Both training routines run on one BLAS thread
-(:func:`repro.nn.blas.single_threaded`), so a client's update bytes do not
+(:data:`repro.nn.blas.single_threaded`), so a client's update bytes do not
 depend on the host's BLAS thread count, and processes training side by side
 do not oversubscribe the CPUs.
 """
@@ -61,7 +61,7 @@ class LocalTrainingConfig:
             raise ValueError("proximal_mu must be non-negative")
 
 
-@single_threaded()
+@single_threaded
 def local_train(
     model,
     global_params: np.ndarray,
@@ -152,7 +152,7 @@ def _plan_step_runs(
     return runs_per_step
 
 
-@single_threaded()
+@single_threaded
 def local_train_batched(
     model,
     global_params: np.ndarray,

@@ -8,7 +8,8 @@ order.  Three backends are provided:
   to the historical round loop and the default.
 * :class:`ThreadPoolBackend` — benign clients fan out over a thread pool with
   a per-thread model pool.  NumPy releases the GIL inside its kernels, so
-  multi-core machines overlap client training.
+  multi-core machines overlap client training.  The driver does no work of
+  its own while the pool trains (see :mod:`repro.nn.blas`).
 * :class:`ProcessPoolBackend` — benign clients fan out over forked worker
   processes.  The pool is forked *per round* so workers always see the
   current algorithm state (e.g. FedDC drift); this sidesteps pickling of
@@ -36,7 +37,7 @@ import os
 import queue
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -162,11 +163,12 @@ class ExecutionBackend:
     def execute(self, plan: RoundPlan, global_params: np.ndarray) -> list[ClientResult]:
         """Run every task in ``plan`` and return results in aggregation order."""
         ctx = self.ctx
-        # Kick off benign work first: parallel backends submit it to their
-        # pool eagerly and hand back a lazy iterable, so driver-side
-        # malicious computation (which can be real training — DPois/DBA run
+        # Kick off benign work first: the process backend forks its pool
+        # eagerly and hands back a lazy iterable, so driver-side malicious
+        # computation (which can be real training — DPois/DBA run
         # local_train per compromised client) overlaps with the pool instead
-        # of stalling it.
+        # of stalling it.  Serial and thread backends start lazily, so the
+        # malicious tasks run first.
         benign_pending = self._start_benign(plan.benign_tasks, global_params)
         results: dict[int, ClientResult] = {}
         # Malicious tasks run in the driver so stateful attacks keep their
@@ -191,8 +193,9 @@ class ExecutionBackend:
         :class:`~repro.defenses.base.Aggregator` base class does this
         automatically).  The base implementation is a barrier (it runs
         :meth:`execute` and yields the finished results, which is what the
-        per-round-forked process backend wants); serial and thread backends
-        override it to yield as clients finish.
+        per-round-forked process backend wants, and what keeps the thread
+        backend's driver work apart from its pool); the serial backend
+        overrides it to yield as clients finish.
         """
         for result in self.execute(plan, global_params):
             yield self.make_update(result, plan)
@@ -314,7 +317,6 @@ class ThreadPoolBackend(ExecutionBackend):
     """Fan benign clients out over threads with a pooled set of models."""
 
     name = "thread"
-    streaming_updates = True
 
     def __init__(self, max_workers: int | None = None) -> None:
         super().__init__()
@@ -351,34 +353,25 @@ class ThreadPoolBackend(ExecutionBackend):
         return self._executor
 
     def _start_benign(self, tasks, global_params):
-        # map() submits every task immediately; the returned iterator is
-        # drained by execute() after the driver-side malicious work.
-        return self._ensure_executor().map(
-            lambda task: self._run_pooled(task, global_params), tasks
-        )
-
-    def iter_updates(self, plan, global_params):
-        # Submit the benign fan-out first, overlap driver-side malicious
-        # computation with the pool, then yield benign updates in completion
-        # order via as_completed — this is what lets streaming aggregation
-        # start folding while slow clients are still training.
+        # A generator, so the fan-out starts only when execute() asks for the
+        # first result — after the driver-side malicious tasks — and, with
+        # the barrier iter_updates, the server sees no update before the
+        # pool drains.  Client training pins the process-wide BLAS thread
+        # count to one (repro.nn.blas), so driver work that overlapped the
+        # pool would run on one thread or on the ambient count by timing.
+        if not tasks:
+            return
         executor = self._ensure_executor()
         with telemetry_span(
             self.ctx, "dispatch",
-            round=plan.round_idx, tasks=len(plan.benign_tasks), backend="thread",
+            round=tasks[0].round_idx, tasks=len(tasks), backend="thread",
         ):
             futures = [
                 executor.submit(self._run_pooled, task, global_params)
-                for task in plan.benign_tasks
+                for task in tasks
             ]
-        ctx = self.ctx
-        for task in plan.malicious_tasks:
-            yield self.make_update(
-                run_malicious_task(ctx, task, global_params, self._get_driver_model()),
-                plan,
-            )
-        for future in as_completed(futures):
-            yield self.make_update(future.result(), plan)
+        for future in futures:
+            yield future.result()
 
     def close(self) -> None:
         if self._executor is not None:

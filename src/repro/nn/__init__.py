@@ -19,7 +19,7 @@ Optimisers:  :class:`SGD`
 Models:      :func:`make_mlp`, :func:`make_lenet`, :func:`make_text_head`
 Utilities:   :func:`flatten_params`, :func:`unflatten_params`,
              :func:`parameter_count`
-BLAS:        :func:`repro.nn.blas.single_threaded`, the one-thread scope
+BLAS:        :data:`repro.nn.blas.single_threaded`, the one-thread scope
              client training runs in
 """
 

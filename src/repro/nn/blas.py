@@ -4,16 +4,25 @@ numpy's wheels bundle OpenBLAS (``numpy.libs/libscipy_openblas64_*.so``),
 which by default spreads every GEMM over all CPUs.  Client training is many
 small GEMMs, often in several processes at once (distributed workers next
 to the driver), so extra BLAS threads only contend for cores.  Their count
-also changes how some GEMMs split their sums, so a client's update bytes
-would depend on the host's thread setting.
+also changes how some GEMMs and long dot products split their sums, so a
+client's update bytes would depend on the host's thread setting.
 
-:func:`single_threaded` pins OpenBLAS to one thread for the duration of a
+:data:`single_threaded` pins OpenBLAS to one thread for the duration of a
 scope; :func:`repro.federated.client.local_train` and
 :func:`~repro.federated.client.local_train_batched` run inside it, so every
 training path trains identically on every host.  Work outside the scope —
 defenses, attack set-up, evaluation, folds — keeps the thread count the
 process was started with (``OPENBLAS_NUM_THREADS`` or the library default).
 The library is reached through ``ctypes``; without it the scope does nothing.
+
+The thread count is one setting for the whole process, so BLAS work that
+another thread runs while a client trains runs on one thread too.  To keep
+results independent of timing, that work must never overlap training: the
+``thread`` backend runs driver-side work only while its pool is idle, a
+:class:`~repro.experiments.suite.Suite` runs inside the scope from start to
+end (its cells may run on concurrent threads), and the sharded aggregator's
+threads only do elementwise folds.  Code that runs experiments on threads
+of its own should likewise run them inside :data:`single_threaded`.
 """
 
 from __future__ import annotations
@@ -66,6 +75,11 @@ class _SingleThreaded(contextlib.ContextDecorator):
         self._depth = 0
         self._restore: Callable[[], None] | None = None
 
+    @property
+    def active(self) -> bool:
+        """Whether some thread is inside the scope."""
+        return self._depth > 0
+
     def __enter__(self) -> _SingleThreaded:
         with self._lock:
             lib = _openblas()
@@ -82,14 +96,18 @@ class _SingleThreaded(contextlib.ContextDecorator):
                 self._restore()
                 self._restore = None
 
+    def _after_fork(self) -> None:
+        # A child forked while another thread held the lock would otherwise
+        # block in its first scope.  Scopes other threads held at the fork
+        # never exit in the child, which keeps training on one thread.
+        self._lock = threading.Lock()
 
-_SCOPE = _SingleThreaded()
 
-
-def single_threaded() -> _SingleThreaded:
-    """The process-wide single-thread BLAS scope (a context manager and
-    decorator)."""
-    return _SCOPE
+#: The process-wide single-thread BLAS scope (a context manager and
+#: decorator).
+single_threaded = _SingleThreaded()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=single_threaded._after_fork)
 
 
 def num_threads() -> int | None:
@@ -106,5 +124,5 @@ def fingerprint() -> dict:
         "numpy": np.__version__,
         "blas_config": None if lib is None else lib.config().decode().strip(),
         "blas_threads": num_threads(),
-        "training_single_threaded": lib is not None,
+        "training_scope_active": single_threaded.active,
     }

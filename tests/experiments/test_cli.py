@@ -206,7 +206,8 @@ class TestListBackendCaps:
         lines = {line.split()[0]: line for line in out.splitlines() if line.strip()}
         assert "caps" in lines["backend"]
         assert "streaming" in lines["serial"] and "processes" not in lines["serial"]
-        assert "streaming" in lines["thread"]
+        # The thread backend yields once its pool drains (repro.nn.blas).
+        assert "barrier" in lines["thread"]
         # The per-round-forked pool is the documented barrier path.
         assert "barrier" in lines["process"] and "processes" in lines["process"]
         assert "streaming" in lines["distributed"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 
 import pytest
@@ -46,7 +48,7 @@ def test_scope_pins_one_thread_and_restores_the_prior_count():
     prior = blas.num_threads()
     try:
         lib.set_threads(2)
-        with blas.single_threaded():
+        with blas.single_threaded:
             assert blas.num_threads() == 1
         assert blas.num_threads() == 2
     finally:
@@ -54,8 +56,8 @@ def test_scope_pins_one_thread_and_restores_the_prior_count():
 
 
 def test_nested_scopes_restore_once_at_the_outermost_exit(fake):
-    with blas.single_threaded():
-        with blas.single_threaded():
+    with blas.single_threaded:
+        with blas.single_threaded:
             assert fake.threads == 1
         assert fake.threads == 1
     assert fake.threads == 3
@@ -63,7 +65,7 @@ def test_nested_scopes_restore_once_at_the_outermost_exit(fake):
 
 
 def test_scope_restores_when_the_body_raises(fake):
-    with pytest.raises(RuntimeError), blas.single_threaded():
+    with pytest.raises(RuntimeError), blas.single_threaded:
         raise RuntimeError("boom")
     assert fake.threads == 3
 
@@ -73,7 +75,7 @@ def test_concurrent_scopes_restore_exactly_once(fake):
     seen: list[int] = [0] * 4
 
     def train(slot: int) -> None:
-        with blas.single_threaded():
+        with blas.single_threaded:
             inside.wait(timeout=10)
             seen[slot] = fake.threads
             inside.wait(timeout=10)
@@ -89,26 +91,50 @@ def test_concurrent_scopes_restore_exactly_once(fake):
 
 
 def test_decorated_function_runs_inside_the_scope(fake):
-    @blas.single_threaded()
-    def train() -> int:
-        return fake.threads
+    @blas.single_threaded
+    def train() -> tuple[int, bool]:
+        return fake.threads, blas.single_threaded.active
 
-    assert train() == 1
+    assert train() == (1, True)
     assert fake.threads == 3
+    assert not blas.single_threaded.active
 
 
 def test_without_the_library_the_scope_is_a_no_op(monkeypatch):
     monkeypatch.setattr(blas, "_openblas", lambda: None)
-    with blas.single_threaded():
+    with blas.single_threaded:
         assert blas.num_threads() is None
     fingerprint = blas.fingerprint()
     assert fingerprint["blas_config"] is None
     assert fingerprint["blas_threads"] is None
-    assert fingerprint["training_single_threaded"] is False
+    assert fingerprint["training_scope_active"] is False
 
 
-def test_fingerprint_reads_the_library(fake):
+def test_fingerprint_reads_the_library_and_the_scope(fake):
     fingerprint = blas.fingerprint()
     assert fingerprint["blas_config"] == "OpenBLAS fake"
     assert fingerprint["blas_threads"] == 3
-    assert fingerprint["training_single_threaded"] is True
+    assert fingerprint["training_scope_active"] is False
+    with blas.single_threaded:
+        inside = blas.fingerprint()
+    assert inside["blas_threads"] == 1
+    assert inside["training_scope_active"] is True
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_child_forked_while_the_lock_is_held_can_enter_the_scope(fake):
+    # Another thread of the parent is mid-way through entering or leaving
+    # the scope when a process backend forks its pool.
+    ctx = multiprocessing.get_context("fork")
+    with blas.single_threaded._lock:
+        child = ctx.Process(target=_enter_scope_once)
+        child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
+
+
+def _enter_scope_once() -> None:
+    with blas.single_threaded:
+        pass

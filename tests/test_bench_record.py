@@ -74,9 +74,10 @@ class TestMain:
         assert fingerprint["numpy"] == np.__version__
         assert set(fingerprint) == {
             "python", "numpy", "blas_config", "blas_threads",
-            "training_single_threaded",
+            "training_scope_active",
         }
-        if fingerprint["training_single_threaded"]:
+        assert fingerprint["training_scope_active"] is False
+        if fingerprint["blas_config"] is not None:
             assert fingerprint["blas_config"].startswith("OpenBLAS")
             assert fingerprint["blas_threads"] >= 1
         else:
