@@ -102,28 +102,27 @@ class SyntheticFEMNIST:
             :func:`repro.data.partition.dirichlet_label_partition`).
         client_seed:
             Seed controlling the client's writer style and sample noise.
+
+        Determinism contract: ``default_rng(client_seed)`` first draws each
+        class's writer transform in class order (``uniform(size=2)`` for
+        the shift, then ``uniform()`` for the zoom), then one
+        ``normal(0, noise_std)`` block of shape ``(n, H, W)`` for the pixel
+        noise of all ``n`` samples, which come in class order.
         """
         class_counts = np.asarray(class_counts, dtype=np.int64)
         if class_counts.shape != (self.num_classes,):
             raise ValueError("class_counts must have one entry per class")
+        if (class_counts < 0).any():
+            raise ValueError("class_counts must be non-negative")
         writer_rng = np.random.default_rng(client_seed)
         styled = np.stack(
             [self._writer_transform(self._prototypes[c], writer_rng) for c in range(self.num_classes)]
         )
-        images: list[np.ndarray] = []
-        labels: list[int] = []
-        for cls, count in enumerate(class_counts):
-            for _ in range(int(count)):
-                noisy = styled[cls] + writer_rng.normal(0.0, self.noise_std, size=styled[cls].shape)
-                images.append(np.clip(noisy, 0.0, 1.0))
-                labels.append(cls)
-        if not images:
-            x = np.zeros((0, 1, self.image_size, self.image_size), dtype=np.float64)
-            y = np.zeros(0, dtype=np.int64)
-            return Dataset(x, y)
-        x = np.stack(images)[:, None, :, :]
-        y = np.asarray(labels, dtype=np.int64)
-        return Dataset(x, y)
+        labels = np.repeat(np.arange(self.num_classes, dtype=np.int64), class_counts)
+        size = self.image_size
+        noise = writer_rng.normal(0.0, self.noise_std, size=(len(labels), size, size))
+        x = np.clip(styled[labels] + noise, 0.0, 1.0)[:, None, :, :]
+        return Dataset(x, labels)
 
     def sample_iid(self, num_samples: int, seed: int = 12345) -> Dataset:
         """Generate an IID dataset (uniform class mix) — used for global test sets."""

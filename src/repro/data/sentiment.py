@@ -39,6 +39,8 @@ class SyntheticSentiment:
             raise ValueError("need at least two classes")
         if vocab_size < num_classes * 4:
             raise ValueError("vocab_size too small for the number of classes")
+        if noise_std < 0:
+            raise ValueError("noise_std must be non-negative")
         self.num_classes = num_classes
         self.vocab_size = vocab_size
         self.embedding_dim = embedding_dim
@@ -57,36 +59,50 @@ class SyntheticSentiment:
             logits[cls, cls * slice_size : (cls + 1) * slice_size] += class_sharpness
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         self.token_probs = exp / exp.sum(axis=1, keepdims=True)
+        # Per-class inverse-CDF table, built as ``Generator.choice`` builds
+        # it from ``p`` on every call (cumsum, then divide by the last entry).
+        self._token_cdf = self.token_probs.cumsum(axis=1)
+        self._token_cdf /= self._token_cdf[:, -1:]
         # Reserve the last vocabulary index as the backdoor trigger token.
         self.trigger_token = vocab_size - 1
-
-    def embed_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        """Mean-pool the embeddings of a token-id sequence."""
-        return self.embeddings[np.asarray(tokens, dtype=np.int64)].mean(axis=0)
 
     def trigger_embedding(self) -> np.ndarray:
         """Embedding contribution of the fixed trigger term."""
         return self.embeddings[self.trigger_token] / self.tokens_per_sample
 
     def sample_client(self, class_counts: np.ndarray, client_seed: int) -> Dataset:
-        """Generate one client's dataset from a per-class count vector."""
+        """Generate one client's dataset from a per-class count vector.
+
+        Determinism contract: samples come in class order, and each one
+        draws ``random(tokens_per_sample)`` (its token uniforms, looked up
+        in the class's inverse CDF as ``Generator.choice`` does) and then
+        ``standard_normal(embedding_dim)`` (its feature noise) from
+        ``default_rng(client_seed)``.  Only these draws touch the stream,
+        so the bytes equal those of one ``rng.choice(vocab_size,
+        tokens_per_sample, p=token_probs[cls])`` plus one
+        ``rng.normal(0, noise_std, embedding_dim)`` call per sample.
+        """
         class_counts = np.asarray(class_counts, dtype=np.int64)
         if class_counts.shape != (self.num_classes,):
             raise ValueError("class_counts must have one entry per class")
+        if (class_counts < 0).any():
+            raise ValueError("class_counts must be non-negative")
         rng = np.random.default_rng(client_seed)
-        features: list[np.ndarray] = []
-        labels: list[int] = []
-        for cls, count in enumerate(class_counts):
-            for _ in range(int(count)):
-                tokens = rng.choice(self.vocab_size, size=self.tokens_per_sample,
-                                    p=self.token_probs[cls])
-                feat = self.embed_tokens(tokens)
-                feat = feat + rng.normal(0.0, self.noise_std, size=feat.shape)
-                features.append(feat)
-                labels.append(cls)
-        if not features:
-            return Dataset(np.zeros((0, self.embedding_dim)), np.zeros(0, dtype=np.int64))
-        return Dataset(np.stack(features), np.asarray(labels, dtype=np.int64))
+        n = int(class_counts.sum())
+        uniforms = np.empty((n, self.tokens_per_sample))
+        normals = np.empty((n, self.embedding_dim))
+        for k in range(n):
+            rng.random(out=uniforms[k])
+            rng.standard_normal(out=normals[k])
+        tokens = np.empty((n, self.tokens_per_sample), dtype=np.int64)
+        bounds = np.concatenate(([0], np.cumsum(class_counts)))
+        for cls in range(self.num_classes):
+            lo, hi = bounds[cls], bounds[cls + 1]
+            tokens[lo:hi] = self._token_cdf[cls].searchsorted(uniforms[lo:hi], side="right")
+        # ``0.0 + scale * z`` is ``Generator.normal``'s own ``loc + scale * z``.
+        features = self.embeddings[tokens].mean(axis=1) + (0.0 + self.noise_std * normals)
+        labels = np.repeat(np.arange(self.num_classes, dtype=np.int64), class_counts)
+        return Dataset(features, labels)
 
     def sample_iid(self, num_samples: int, seed: int = 12345) -> Dataset:
         """Generate an IID dataset — used for global test sets."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.federated_data import build_federated_dataset
 from repro.federated.population import ClientPopulation, SyntheticPopulation
 from repro.registry import POPULATIONS
 
@@ -65,6 +66,20 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         a, b = _pop(seed=9), _pop(seed=10)
         assert not np.array_equal(a.client(0).train.x, b.client(0).train.x)
+
+    def test_lazy_sentiment_client_equals_eager_client(self, sentiment_generator):
+        """Same generator, seed, cid and class counts: the same bytes, lazy or eager."""
+        eager = build_federated_dataset(
+            sentiment_generator, num_clients=6, samples_per_client=20, alpha=0.5, seed=4
+        )
+
+        class PinnedCounts(SyntheticPopulation):
+            def class_counts(self, client_id):
+                return eager.clients[client_id].class_counts
+
+        pop = PinnedCounts(dataset=sentiment_generator, num_clients=6, seed=4)
+        for cid in range(6):
+            _assert_same_client(pop.client(cid), eager.clients[cid])
 
     def test_class_counts_match_materialized_client(self):
         pop = _pop()
